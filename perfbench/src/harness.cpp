@@ -19,7 +19,10 @@ namespace sim = rgb::sim;
 /// early a join can reach tier 0.
 constexpr sim::Duration kMinLinkDelay = sim::msec(1);
 constexpr sim::Duration kMaxLinkDelay = sim::msec(3);
-constexpr sim::Duration kFaultPoll = sim::usec(500);
+/// Poll grid for a crashed AP's ring: fine until the splice (detect_ms),
+/// coarse while waiting for the AP to rejoin.
+constexpr sim::Duration kDetectPoll = sim::usec(500);
+constexpr sim::Duration kRejoinPoll = sim::msec(5);
 
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
@@ -99,6 +102,10 @@ void Truth::detach(Guid guid) {
   where_.erase(guid);
 }
 
+GroupId Truth::group_of(Guid guid) const {
+  return core::member_groups(guid, groups_, 1).front();
+}
+
 NodeId Truth::ap_of(Guid guid) const {
   const auto it = where_.find(guid);
   return it == where_.end() ? NodeId{} : it->second.ap;
@@ -147,10 +154,14 @@ double ns_between(Clock::time_point a, Clock::time_point b) {
 void NeProbe::deliver(const net::Envelope& env) {
   if (trace_.active) {
     const double sizer_before = trace_.sizer_ns;
+    const double nested_before = trace_.harness_nested_ns;
+    trace_.in_deliver = true;
     const auto start = Clock::now();
     ne_.deliver(env);
     const double incl = ns_between(start, Clock::now());
-    const double self = incl - (trace_.sizer_ns - sizer_before);
+    trace_.in_deliver = false;
+    const double self = incl - (trace_.sizer_ns - sizer_before) -
+                        (trace_.harness_nested_ns - nested_before);
     const Family family = family_of(env.kind);
     trace_.deliver_ns[family] += self;
     ++trace_.deliver_count[family];
@@ -179,6 +190,7 @@ Rig::Rig(std::uint64_t seed, const RigConfig& rig_config, LayerTrace& trace)
     net.attach(nes_[i], probes_.back().get());
   }
   net.set_tap([this](const net::Envelope& env, bool delivered) {
+    const HarnessTime timed{trace_};
     const std::size_t kind = env.kind < TapCounts::kKinds ? env.kind : 0;
     ++tap_.msgs[kind];
     tap_.bytes[kind] += env.size_bytes;
@@ -224,6 +236,13 @@ void Rig::set_sizer_timing(bool on) {
   });
 }
 
+void Rig::schedule_at(sim::Time at, std::function<void()> fn) {
+  sim.schedule_at(at, [this, fn = std::move(fn)]() {
+    ++harness_events_;
+    fn();
+  });
+}
+
 void Rig::run_until(sim::Time deadline) {
   if (!trace_.active) {
     sim.run_until(deadline);
@@ -250,11 +269,37 @@ Watch::Watch(Rig& rig)
   for (std::size_t i = 0; i < rig.nes().size(); ++i) {
     tier0_[i] = rig.ne(i).tier() == 0;
   }
+  for (std::size_t r = 0; r < ap_rings_.size(); ++r) {
+    for (const NodeId ap : ap_rings_[r]) ring_of_ap_.emplace(ap, r);
+  }
+  ne_ring_.assign(rig.nes().size(), kNoRing);
+  for (std::size_t i = 0; i < rig.nes().size(); ++i) {
+    const auto ring = ring_of_ap_.find(rig.nes()[i]);
+    if (ring != ring_of_ap_.end()) ne_ring_[i] = ring->second;
+  }
+}
+
+bool Watch::faulted(std::size_t ring, sim::Time born, sim::Time now) const {
+  return std::any_of(fault_windows_.begin(), fault_windows_.end(),
+                     [&](const FaultWindow& w) {
+                       return w.ring == ring && w.from <= now && born < w.to;
+                     });
+}
+
+void Watch::add_fault_window(NodeId crashed_ap, sim::Time from,
+                             sim::Time to) {
+  fault_windows_.push_back(FaultWindow{ring_of_ap_.at(crashed_ap), from, to});
 }
 
 void Watch::follow(Guid guid, GroupId gid, NodeId ap, bool present,
                    bool join) {
+  const HarnessTime timed{rig_.trace()};
   const auto id = static_cast<std::uint32_t>(ops_.size());
+  const auto [latest, fresh] = latest_.try_emplace(guid, id);
+  if (!fresh) {
+    ops_[latest->second].superseded = true;
+    latest->second = id;
+  }
   ops_.push_back(Followed{guid, gid, ap, rig_.sim.now(), present, join});
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (!down_[i]) pending_[i].push_back(id);
@@ -274,6 +319,7 @@ bool Watch::holds(std::size_t ne_index, const Followed& op) const {
 void Watch::after_delivery(std::size_t ne_index) {
   auto& list = pending_[ne_index];
   if (list.empty()) return;
+  const HarnessTime timed{rig_.trace()};
   if (rig_.config.groups == 1) {
     // One table: nothing new can be visible unless its digest moved.
     const core::MemberTable& table = rig_.ne(ne_index).ring_members();
@@ -285,15 +331,27 @@ void Watch::after_delivery(std::size_t ne_index) {
   const sim::Time now = rig_.sim.now();
   for (std::size_t k = 0; k < list.size();) {
     Followed& op = ops_[list[k]];
+    if (op.superseded) {
+      list[k] = list.back();
+      list.pop_back();
+      continue;
+    }
     if (!holds(ne_index, op)) {
       ++k;
       continue;
     }
     const sim::Duration age = now - op.born;
-    apply_ms.push_back(static_cast<double>(age) / 1000.0);
+    const double age_ms = static_cast<double>(age) / 1000.0;
+    const auto op_ring = ring_of_ap_.find(op.ap);
+    const bool fault =
+        (op_ring != ring_of_ap_.end() &&
+         faulted(op_ring->second, op.born, now)) ||
+        (ne_ring_[ne_index] != kNoRing &&
+         faulted(ne_ring_[ne_index], op.born, now));
+    (fault ? fault_apply_ms : apply_ms).push_back(age_ms);
     if (tier0_[ne_index] && op.join && !op.root_seen) {
       op.root_seen = true;
-      visible_ms.push_back(static_cast<double>(age) / 1000.0);
+      if (!fault) visible_ms.push_back(age_ms);
       if (age < min_root_latency_) ++too_early;
     }
     list[k] = list.back();
@@ -313,6 +371,9 @@ void Watch::on_crash(NodeId ap) {
     }
   }
   faults_.push_back(Fault{ap, ring, rig_.sim.now()});
+  // Re-arm on the fine grid; a poll already armed on the coarse one lapses.
+  ++poll_generation_;
+  poll_armed_ = false;
   arm_poll();
 }
 
@@ -325,8 +386,13 @@ void Watch::on_recover(NodeId ap) {
 void Watch::arm_poll() {
   if (poll_armed_) return;
   poll_armed_ = true;
-  const sim::Time next = (rig_.sim.now() / kFaultPoll + 1) * kFaultPoll;
-  rig_.sim.schedule_at(next, [this]() {
+  const bool detecting =
+      std::any_of(faults_.begin(), faults_.end(),
+                  [](const Fault& fault) { return !fault.detected; });
+  const sim::Duration grid = detecting ? kDetectPoll : kRejoinPoll;
+  const sim::Time next = (rig_.sim.now() / grid + 1) * grid;
+  rig_.schedule_at(next, [this, generation = poll_generation_]() {
+    if (generation != poll_generation_) return;
     poll_armed_ = false;
     poll_faults();
     if (!faults_.empty()) arm_poll();
@@ -334,6 +400,7 @@ void Watch::arm_poll() {
 }
 
 void Watch::poll_faults() {
+  const HarnessTime timed{rig_.trace()};
   const sim::Time now = rig_.sim.now();
   for (std::size_t f = 0; f < faults_.size();) {
     Fault& fault = faults_[f];

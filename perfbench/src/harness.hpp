@@ -12,6 +12,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -74,10 +75,38 @@ struct LayerTrace {
   std::uint64_t sizer_calls = 0;
   double run_ns = 0;  ///< host time inside Simulator::run_until
   double sim_seconds = 0;  ///< simulated time covered by timed ticks
+  /// The benchmark's own code running inside run_until (the tap, the
+  /// Watch, query checks), outside NE delivery and nested in it. Taken out
+  /// of the layer figures and reported as trace.harness_pct.
+  double harness_ns = 0;
+  double harness_nested_ns = 0;
+  bool in_deliver = false;  ///< inside a timed NetworkEntity::deliver
 
   /// Envelopes captured by the tap for the codec measurement.
   std::vector<rgb::net::Envelope> samples;
   std::uint64_t sample_stride_counter = 0;
+};
+
+/// Adds the host time of its scope to the harness time in timed ticks.
+class HarnessTime {
+ public:
+  explicit HarnessTime(LayerTrace& trace) : trace_(trace), on_(trace.active) {
+    if (on_) start_ = Clock::now();
+  }
+  ~HarnessTime() {
+    if (!on_) return;
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - start_)
+            .count();
+    (trace_.in_deliver ? trace_.harness_nested_ns : trace_.harness_ns) += ns;
+  }
+  HarnessTime(const HarnessTime&) = delete;
+  HarnessTime& operator=(const HarnessTime&) = delete;
+
+ private:
+  LayerTrace& trace_;
+  bool on_;
+  Clock::time_point start_;
 };
 
 // --- network tap counters -----------------------------------------------------
@@ -106,9 +135,9 @@ class Truth {
   [[nodiscard]] Guid member_at(std::size_t index) const {
     return members_[index];
   }
-  [[nodiscard]] GroupId group_of(Guid guid) const {
-    return GroupId{1 + guid.value() % groups_};
-  }
+  /// The member's one group, by the program's own rule
+  /// (core::member_groups with one group per member).
+  [[nodiscard]] GroupId group_of(Guid guid) const;
   [[nodiscard]] std::uint64_t groups() const { return groups_; }
 
   /// Expected operational records per group, guid-ascending.
@@ -195,6 +224,14 @@ class Rig {
   /// Runs the simulation to `deadline`, timing it when the trace is active.
   void run_until(rgb::sim::Time deadline);
 
+  /// Schedules benchmark code (op injection, crash, recovery, polls) as a
+  /// simulator event. These events are counted apart, so the event counts
+  /// the benchmark reports are the program's own.
+  void schedule_at(rgb::sim::Time at, std::function<void()> fn);
+  [[nodiscard]] std::uint64_t program_events() const {
+    return sim.executed_events() - harness_events_;
+  }
+
  private:
   LayerTrace& trace_;
   std::vector<NodeId> nes_;
@@ -202,6 +239,7 @@ class Rig {
   std::unique_ptr<Watch> watch_;
   std::vector<std::unique_ptr<NeProbe>> probes_;
   TapCounts tap_;
+  std::uint64_t harness_events_ = 0;
 };
 
 // --- sim-time observation -----------------------------------------------------
@@ -210,15 +248,28 @@ class Rig {
 /// when each NE first holds an op's effect (dissemination latency), when a
 /// join first shows at a tier-0 NE (root visibility), and how long a
 /// crashed AP stays in its ring (detection). Observations are taken after
-/// every delivery to an NE and, for detection, on a 500 us poll grid.
+/// every delivery to an NE and, for a crashed AP's ring, on a poll grid:
+/// every 500 us until the crash is detected, then every 5 ms until the AP
+/// is back in its ring.
 class Watch {
  public:
   explicit Watch(Rig& rig);
 
   /// Starts following an op the benchmark just issued: `present` is the
-  /// expected record state afterwards (operational at `ap`, or gone).
+  /// expected record state afterwards (operational at `ap`, or gone). An
+  /// earlier followed op on the same member is superseded: NEs it has not
+  /// reached yet no longer report it.
   void follow(Guid guid, GroupId gid, NodeId ap, bool present, bool join);
   void after_delivery(std::size_t ne_index);
+
+  /// `crashed_ap`'s ring is on the fault path in [from, to): its ops and
+  /// its NEs wait on the crash's detection, the ring's repair or the AP's
+  /// rejoin. An (op, NE) observation whose op was issued in that ring, or
+  /// whose NE is in it, and whose [birth, apply] overlaps the window goes
+  /// to fault_apply_ms instead of apply_ms (and is left out of
+  /// visible_ms).
+  void add_fault_window(NodeId crashed_ap, rgb::sim::Time from,
+                        rgb::sim::Time to);
 
   /// AP crash injected now; detection and rejoin are observed from here.
   void on_crash(NodeId ap);
@@ -227,6 +278,7 @@ class Watch {
 
   std::vector<double> apply_ms;    ///< op birth -> applied, per (op, NE)
   std::vector<double> visible_ms;  ///< join birth -> first tier-0 apply
+  std::vector<double> fault_apply_ms;  ///< apply_ms of fault-path ops
   std::vector<double> detect_ms;   ///< AP crash -> first splice
   /// Root visibility earlier than the hop bound (should never happen).
   std::uint64_t too_early = 0;
@@ -241,6 +293,12 @@ class Watch {
     bool present = true;
     bool join = false;
     bool root_seen = false;
+    bool superseded = false;
+  };
+  struct FaultWindow {
+    std::size_t ring = 0;
+    rgb::sim::Time from = 0;
+    rgb::sim::Time to = 0;
   };
   struct Fault {
     NodeId ap;
@@ -251,18 +309,27 @@ class Watch {
   };
 
   [[nodiscard]] bool holds(std::size_t ne_index, const Followed& op) const;
+  /// Whether `ring` has a fault window overlapping [born, now].
+  [[nodiscard]] bool faulted(std::size_t ring, rgb::sim::Time born,
+                             rgb::sim::Time now) const;
   void poll_faults();
   void arm_poll();
 
   Rig& rig_;
   std::vector<Followed> ops_;
+  std::unordered_map<Guid, std::uint32_t> latest_;  ///< guid -> newest op
   std::vector<std::vector<std::uint32_t>> pending_;  ///< per NE
   std::vector<std::uint64_t> last_digest_;           ///< per NE (G = 1 gate)
   std::vector<bool> tier0_;
   std::vector<bool> down_;  ///< crashed or not yet rejoined
   std::vector<Fault> faults_;
   std::vector<std::vector<NodeId>> ap_rings_;
+  static constexpr std::size_t kNoRing = ~std::size_t{0};
+  std::unordered_map<NodeId, std::size_t> ring_of_ap_;
+  std::vector<std::size_t> ne_ring_;  ///< AP ring of each NE, or kNoRing
+  std::vector<FaultWindow> fault_windows_;
   bool poll_armed_ = false;
+  std::uint64_t poll_generation_ = 0;
   rgb::sim::Duration min_root_latency_ = 0;
 };
 
