@@ -243,6 +243,11 @@ void Rig::schedule_at(sim::Time at, std::function<void()> fn) {
   });
 }
 
+void Rig::start_probing() {
+  probing_since_ = sim.now();
+  sys.start_probing();
+}
+
 void Rig::run_until(sim::Time deadline) {
   if (!trace_.active) {
     sim.run_until(deadline);

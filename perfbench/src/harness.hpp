@@ -221,6 +221,11 @@ class Rig {
   /// encoded-size metering (off).
   void set_sizer_timing(bool on);
 
+  /// Starts every NE's probe timer and records when: probe ticks fall on
+  /// whole periods from then.
+  void start_probing();
+  [[nodiscard]] rgb::sim::Time probing_since() const { return probing_since_; }
+
   /// Runs the simulation to `deadline`, timing it when the trace is active.
   void run_until(rgb::sim::Time deadline);
 
@@ -240,6 +245,7 @@ class Rig {
   std::vector<std::unique_ptr<NeProbe>> probes_;
   TapCounts tap_;
   std::uint64_t harness_events_ = 0;
+  rgb::sim::Time probing_since_ = 0;
 };
 
 // --- sim-time observation -----------------------------------------------------

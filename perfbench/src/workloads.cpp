@@ -38,6 +38,9 @@ constexpr sim::Duration kRejoinTail = sim::sec(4);
 /// the tick's cost on an uncontended machine, which repeats from run to
 /// run where the median does not.
 constexpr double kSteadyTickQuantile = 0.02;
+/// churn_mobile, groups_serving: peak_rss_mb is read after this many churn
+/// rounds (20 s simulated); an 18 s run holds 8-10 of churn_mobile's.
+constexpr std::size_t kRssRounds = 4;
 
 /// Sink that keeps timed calls from being optimised away.
 volatile std::uint64_t g_sink = 0;
@@ -154,9 +157,10 @@ struct Collected {
   /// the same work and the fastest of them is its uncontended cost.
   std::vector<std::size_t> round_starts;
   /// churn_mobile, groups_serving: each churn round's ops, untimed ticks
-  /// and their host time. Every round has the same make-up (churn and one
-  /// AP crash), so per-round totals compare, and each keeps every tick of
-  /// its round, crash, splice and rejoin ticks included. ops_per_s is the
+  /// and their host time. Every round of a workload has the same make-up
+  /// (churn, and on churn_mobile one AP crash), so per-round totals
+  /// compare, and each keeps every tick of its round, crash, splice and
+  /// rejoin ticks included. ops_per_s is the
   /// second-fastest round's rate and tick_ms its mean tick: rounds last
   /// about a second of host time, and the machine's slow episodes last
   /// seconds, so the faster rounds are the ones that repeat from run to
@@ -167,6 +171,12 @@ struct Collected {
     double host_ms = 0;
   };
   std::vector<Round> rounds;
+  /// churn_mobile, groups_serving: the process's peak resident set at the
+  /// end of churn round kRssRounds. Their state grows from round to round
+  /// (~70 MB after set-up, ~125 MB after 8 rounds of churn_mobile), and a
+  /// run holds as many rounds as its host time allows, so the peak at the
+  /// end of the run would read higher on a faster machine.
+  std::optional<double> peak_rss_mb;
   LayerTrace trace;
 };
 
@@ -245,6 +255,8 @@ struct ChurnMix {
   double leave = 1.0 / 7.5;
   double fail = 0.5 / 7.5;  ///< the rest (4 / 7.5) are handoffs
   double queries_per_s = 0;
+  /// AP crashes per 5 s round (each recovers kCrashFor later).
+  std::size_t crashes_per_round = 1;
 };
 
 /// Group-scoped TMS queries from a small pool of clients. A query that
@@ -563,7 +575,7 @@ void populate(Rig& rig, const std::vector<Arrival>& arrivals, Truth& truth,
   for (const Arrival& a : arrivals) truth.attach(a.guid, a.ap);
   schedule_arrivals(rig, arrivals, arrivals.size(), sample_shift);
   rig.sim.run();
-  rig.sys.start_probing();
+  rig.start_probing();
   const int ticks = settle(rig, truth, 160);
   if (ticks >= 160) report.fail_check("population did not converge");
 }
@@ -762,22 +774,62 @@ void layer_micro(Rig& rig, const std::vector<double>& latencies,
 
 // --- the fault probe ----------------------------------------------------------
 
-/// `rounds` 5 s rounds of churn with one AP crash each, as in
-/// churn_mobile, for workloads
-/// whose measured phase injects no crash: gives them a detection time, the
-/// median over the crashes. About one crash in five hits its ring's token
-/// holder and is detected only after ~2.2 s, so one crash per run made
-/// join_surge's figure jump; steady_probe keeps one round, as a churn round
-/// at 100k members costs several seconds of whole-table transfers.
-void fault_probe(Rig& rig, Truth& truth, GuidSource& guids, RngStream rng,
-                 Collected& c, int rounds) {
-  Churn churn(rig, truth, guids, rng, ChurnMix{});
-  for (int round = 0; round < rounds; ++round) {
+/// For workloads whose measured phase injects no crash: `rounds` 5 s
+/// rounds with no membership change, each crashing one non-leader AP of
+/// every AP ring for kProbeCrashFor. An idle ring finds a crash at its next
+/// probe tick, so a crash's detection time depends on where in the probe
+/// period it falls (~180-430 ms). The crashes' phases are spread evenly
+/// over the period, each jittered within its share from the seed, and the
+/// figure is their mean: detection averaged over the phase. Over 12 seeds
+/// (join_surge --smoke) the mean of 25 such crashes spread 0.02 where
+/// their median spread 0.10.
+/// An idle ring has no token holder to crash, so the mean has no 2.2 s
+/// outlier; churn_mobile measures detection under churn, by the median.
+/// A crash lasts 1 s, past any idle detection: each crash and rejoin costs
+/// ~1 s of host time at 100k members.
+constexpr sim::Duration kProbeCrashFor = sim::sec(1);
+
+void fault_probe(Rig& rig, RngStream rng, Collected& c, std::size_t rounds) {
+  const auto rings = rig.sys.rings(rig.sys.tier_count() - 1);
+  const std::size_t crashes = rounds * rings.size();
+  std::vector<sim::Duration> phases;
+  for (std::size_t i = 0; i < crashes; ++i) {
+    phases.push_back(static_cast<sim::Duration>(
+        (kProbePeriod * i + rng.next_below(kProbePeriod)) / crashes));
+  }
+  rng.shuffle(phases);
+  for (std::size_t round = 0; round < rounds; ++round) {
     const sim::Time start = rig.sim.now();
-    churn.schedule(churn.plan(start, sim::sec(5), 1), false, nullptr);
+    // The first probe tick at least 250 ms into the round.
+    const sim::Time since = start + sim::msec(250) - rig.probing_since();
+    const sim::Time tick =
+        rig.probing_since() + (since + kProbePeriod - 1) / kProbePeriod *
+                                  kProbePeriod;
+    for (std::size_t k = 0; k < rings.size(); ++k) {
+      const auto& ring = rings[k];
+      const NodeId ap = ring[1 + rng.next_below(ring.size() - 1)];
+      const sim::Time at = tick + kProbePeriod * rng.next_below(3) +
+                           phases[round * rings.size() + k];
+      rig.watch().add_fault_window(ap, at - kFaultLead,
+                                   at + kProbeCrashFor + kRejoinTail);
+      rig.schedule_at(at, [&rig, ap]() {
+        rig.sys.crash_ne(ap);
+        rig.watch().on_crash(ap);
+      });
+      rig.schedule_at(at + kProbeCrashFor, [&rig, ap]() {
+        rig.sys.recover_ne(ap);
+        rig.watch().on_recover(ap);
+      });
+    }
     rig.run_until(start + sim::sec(5));
   }
-  take_detections(rig.watch(), c);
+  std::vector<double>& detected = rig.watch().detect_ms;
+  if (!detected.empty()) {
+    double sum = 0;
+    for (const double ms : detected) sum += ms;
+    c.detect_ms.push_back(sum / static_cast<double>(detected.size()));
+  }
+  detected.clear();
 }
 
 /// Settles, checks every table against the truth, then the conservation
@@ -802,6 +854,15 @@ RigConfig probing_config(std::uint64_t groups = 1) {
   config.groups = groups;
   config.probe_period = kProbePeriod;
   return config;
+}
+
+/// Every NE's global-view table digest, in NE order.
+std::vector<core::ViewDigest> table_digests(Rig& rig) {
+  std::vector<core::ViewDigest> out;
+  for (std::size_t i = 0; i < rig.nes().size(); ++i) {
+    out.push_back(rig.ne(i).ring_members().digest());
+  }
+  return out;
 }
 
 /// join_surge: members join a fresh G=1, h=2, r=5 hierarchy by per-op
@@ -856,12 +917,22 @@ void join_surge(const Options& o, Collected& c) {
 
   // Whole surges, each on a fresh hierarchy with the same inputs.
   std::unique_ptr<Rig> rig;
+  std::vector<core::ViewDigest> digests;
   do {
     if (rig) check_conservation(*rig, c.report);
     const bool first = !rig;
+    rig.reset();  // one hierarchy at a time: the next reuses its memory
     rig = surge(members, true);
-    check_tables(*rig, truth, c.report);
-    if (first) take_latencies(rig->watch(), c);
+    // The first surge is checked in full. A replay of the same inputs must
+    // end in the same tables, so the others must match its digests (and
+    // are checked in full if they do not).
+    if (first) {
+      check_tables(*rig, truth, c.report);
+      digests = table_digests(*rig);
+      take_latencies(rig->watch(), c);
+    } else if (table_digests(*rig) != digests) {
+      check_tables(*rig, truth, c.report);
+    }
     rig->watch().apply_ms.clear();
     rig->watch().visible_ms.clear();
     rig->watch().fault_apply_ms.clear();
@@ -869,8 +940,8 @@ void join_surge(const Options& o, Collected& c) {
   c.ring_links = rig->ring_links();
   if (o.trace) layer_micro(*rig, c.apply_ms, c.micro);
 
-  // Probing phase on the last hierarchy: mop-up, steady viewsync, a crash.
-  rig->sys.start_probing();
+  // Probing phase on the last hierarchy: mop-up, steady viewsync, crashes.
+  rig->start_probing();
   settle(*rig, truth, 160);
   const Counters before = Counters::read(*rig);
   constexpr int kSyncTicks = 8;
@@ -879,7 +950,7 @@ void join_surge(const Options& o, Collected& c) {
   sync.add_delta(before, Counters::read(*rig));
   c.sync_ticks = kSyncTicks;
   c.sync_bytes = sync.viewsync_bytes;
-  fault_probe(*rig, truth, guids, rng.fork("fault"), c, 5);
+  fault_probe(*rig, rng.fork("fault"), c, 5);
   final_checks(*rig, truth, c.report, 160);
 }
 
@@ -920,12 +991,14 @@ void steady_probe(const Options& o, Collected& c) {
   }
   if (o.trace) layer_micro(rig, c.apply_ms, c.micro);
 
-  fault_probe(rig, truth, guids, rng.fork("fault"), c, 1);
+  fault_probe(rig, rng.fork("fault"), c, 3);
   final_checks(rig, truth, c.report, 160);
 }
 
-/// Shared body of churn_mobile and groups_serving: populate, then rounds of
-/// open-loop churn with one AP crash each, until the run's time is used.
+/// Shared body of churn_mobile and groups_serving: populate, then 5 s rounds
+/// of open-loop churn, each with `mix.crashes_per_round` AP crashes, until
+/// the run's time is used. Without crashes in the rounds, the fault probe
+/// runs after the quiescent queries.
 void churn_rounds(const Options& o, Collected& c, std::uint64_t groups,
                   std::size_t members, ChurnMix mix) {
   RngStream rng{o.seed};
@@ -950,10 +1023,12 @@ void churn_rounds(const Options& o, Collected& c, std::uint64_t groups,
   const Counters before = Counters::read(rig);
   do {
     const sim::Time start = rig.sim.now();
-    const std::vector<Planned> plan = churn.plan(start, round, 1);
+    const std::vector<Planned> plan =
+        churn.plan(start, round, mix.crashes_per_round);
     churn.schedule(plan, true, queries.get());
     for (const Planned& p : plan) c.ops += counts_as_op(p.act) ? 1 : 0;
     run_measured(rig, c, plan, start + round);
+    if (c.rounds.size() == kRssRounds) c.peak_rss_mb = peak_rss_mb();
   } while (c.ticks.timed_s < o.seconds);
   c.measured.add_delta(before, Counters::read(rig));
   c.sync_ticks = c.ticks.count;
@@ -984,6 +1059,9 @@ void churn_rounds(const Options& o, Collected& c, std::uint64_t groups,
                                   " failed quer(y/ies)");
     }
     queries.reset();
+  }
+  if (mix.crashes_per_round == 0) {
+    fault_probe(rig, rng.fork("fault"), c, 5);
   }
   final_checks(rig, truth, c.report, 160);
 }
@@ -1046,7 +1124,7 @@ std::vector<Metric> end_to_end(const Collected& c) {
        round_ops_per_s.value_or(safe_div(ops_per_tick, tick_ms / 1e3)),
        "1/s"},
       {"tick_ms", tick_ms, "ms"},
-      {"peak_rss_mb", peak_rss_mb(), "MB"},
+      {"peak_rss_mb", c.peak_rss_mb.value_or(peak_rss_mb()), "MB"},
       {"join_visible_p50_ms", quantile(c.visible_ms, 0.50), "ms"},
       {"join_visible_p99_ms", quantile(c.visible_ms, 0.99), "ms"},
       {"dissem_p50_ms", quantile(c.apply_ms, 0.50), "ms"},
@@ -1170,6 +1248,7 @@ Result run_workload(const Options& o) {
   } else {
     ChurnMix mix;
     mix.queries_per_s = 100;
+    mix.crashes_per_round = 0;
     const std::uint64_t groups = o.smoke ? 50 : 500;
     churn_rounds(o, c, groups, groups * 20, mix);
   }
